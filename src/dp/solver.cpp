@@ -1,7 +1,6 @@
 #include "dp/solver.hpp"
 
-#include <omp.h>
-
+#include "dp/level_loop.hpp"
 #include "faultsim/injector.hpp"
 #include "util/contracts.hpp"
 
@@ -34,11 +33,6 @@ struct SolveContext {
     faultsim::maybe_corrupt_table(result.table, result.opt);
   }
 };
-
-int resolve_threads(const SolveOptions& options) {
-  return options.num_threads > 0 ? options.num_threads
-                                 : omp_get_max_threads();
-}
 
 }  // namespace
 
@@ -91,7 +85,7 @@ DpResult LevelScanSolver::solve(const DpProblem& problem,
   SolveContext ctx(problem, options);
   const auto size = ctx.radix.size();
   const std::int64_t levels = ctx.radix.max_level();
-  const int threads = resolve_threads(options);
+  const int threads = resolve_threads(options.num_threads);
 
   // Algorithm 2, lines 10-25: one sequential pass per anti-diagonal level,
   // each pass scanning the entire table in parallel.
@@ -121,22 +115,23 @@ DpResult LevelBucketSolver::solve(const DpProblem& problem,
                                   const SolveOptions& options) const {
   SolveContext ctx(problem, options);
   const LevelBuckets buckets(ctx.radix);
-  const int threads = resolve_threads(options);
+  const int threads = resolve_threads(options.num_threads);
+  const std::uint64_t configs = ctx.configs.size();
 
   for (std::int64_t level = 1; level < buckets.levels(); ++level) {
     const auto cells = buckets.cells_at(level);
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 64)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(cells.size());
-         ++i) {
-      const std::uint64_t id = cells[static_cast<std::size_t>(i)];
-      std::int64_t coords[64];
-      std::span<std::int64_t> v(coords, ctx.radix.dims());
-      ctx.radix.unflatten(id, v);
-      std::uint32_t* deps =
-          options.collect_deps ? &ctx.result.deps[id] : nullptr;
-      ctx.result.table[id] =
-          solve_cell(ctx.configs, v, level, id, ctx.result.table, deps);
-    }
+    for_each_in_level(
+        cells.size(), 64, cells.size() * configs, threads,
+        [&](std::uint64_t i) {
+          const std::uint64_t id = cells[i];
+          std::int64_t coords[64];
+          std::span<std::int64_t> v(coords, ctx.radix.dims());
+          ctx.radix.unflatten(id, v);
+          std::uint32_t* deps =
+              options.collect_deps ? &ctx.result.deps[id] : nullptr;
+          ctx.result.table[id] =
+              solve_cell(ctx.configs, v, level, id, ctx.result.table, deps);
+        });
   }
   ctx.finish();
   return ctx.result;

@@ -80,7 +80,8 @@ class LevelScanSolver final : public DpSolver {
 };
 
 /// Optimized level-synchronous solver: cells are pre-bucketed by level and
-/// each bucket is processed with an OpenMP parallel-for.
+/// each bucket runs through dp::for_each_in_level, which shares it across
+/// an OpenMP team only when it is wide enough to pay for one.
 class LevelBucketSolver final : public DpSolver {
  public:
   using DpSolver::solve;

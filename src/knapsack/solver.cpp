@@ -1,10 +1,9 @@
 #include "knapsack/solver.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 
 #include "dp/fitset.hpp"
+#include "dp/level_loop.hpp"
 #include "partition/blocked_layout.hpp"
 #include "partition/divisor.hpp"
 #include "util/checked_math.hpp"
@@ -91,8 +90,9 @@ KnapsackResult solve_blocked(const KnapsackProblem& problem,
 
   std::vector<std::int64_t> blocked(radix.size(), 0);
   const dp::FitSet fits = item_fitset(problem, radix.dims());
-  const int threads =
-      num_threads > 0 ? num_threads : omp_get_max_threads();
+  const int threads = dp::resolve_threads(num_threads);
+  const std::uint64_t block_work =
+      layout.cells_per_block() * problem.items.size();
 
   const auto run_block = [&](std::uint64_t block_id) {
     const auto dims = radix.dims();
@@ -123,10 +123,9 @@ KnapsackResult solve_blocked(const KnapsackProblem& problem,
 
   for (std::int64_t lvl = 0; lvl < block_buckets.levels(); ++lvl) {
     const auto blocks = block_buckets.cells_at(lvl);
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(blocks.size());
-         ++i)
-      run_block(blocks[static_cast<std::size_t>(i)]);
+    dp::for_each_in_level(blocks.size(), 1, blocks.size() * block_work,
+                          threads,
+                          [&](std::uint64_t i) { run_block(blocks[i]); });
   }
 
   KnapsackResult result;

@@ -1,10 +1,9 @@
 #include "partition/block_solver.hpp"
 
-#include <omp.h>
-
 #include <vector>
 
 #include "dp/config.hpp"
+#include "dp/level_loop.hpp"
 #include "faultsim/injector.hpp"
 #include "partition/divisor.hpp"
 #include "util/contracts.hpp"
@@ -123,8 +122,9 @@ dp::DpResult BlockedSolver::solve(const dp::DpProblem& problem,
 
   BlockWorker worker(layout, configs, in_block_buckets, blocked, result.deps,
                      observer_);
-  const int threads =
-      options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
+  const int threads = dp::resolve_threads(options.num_threads);
+  const std::uint64_t block_work =
+      layout.cells_per_block() * configs.size();
 
   for (std::int64_t lvl = 0; lvl < block_buckets.levels(); ++lvl) {
     const auto blocks = block_buckets.cells_at(lvl);
@@ -134,10 +134,9 @@ dp::DpResult BlockedSolver::solve(const dp::DpProblem& problem,
     if (observer_ != nullptr) {
       for (const auto block_id : blocks) worker.run(block_id);
     } else {
-#pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(blocks.size());
-           ++i)
-        worker.run(blocks[static_cast<std::size_t>(i)]);
+      dp::for_each_in_level(blocks.size(), 1, blocks.size() * block_work,
+                            threads,
+                            [&](std::uint64_t i) { worker.run(blocks[i]); });
     }
   }
 

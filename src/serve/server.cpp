@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <utility>
 
+#include "dp/level_loop.hpp"
 #include "gpu/gpu_ptas.hpp"
 #include "gpu/resilient_gpu.hpp"
 #include "gpusim/device.hpp"
@@ -33,6 +35,8 @@ Status validate_request(const Instance& instance) {
 
 SolveServer::SolveServer(const ServeOptions& options)
     : options_(options),
+      dp_threads_(std::max(1, dp::resolve_threads(0) /
+                                  std::max(1, options.workers))),
       queue_(options.queue_capacity),
       paused_(options.start_paused) {
   PCMAX_EXPECTS(options.workers >= 1);
@@ -190,6 +194,9 @@ void SolveServer::worker_main(int index) {
             std::memory_order_relaxed);
     SolveResponse response =
         serve_one(leader, gpu_ok ? gpu_chain : cpu_chain, index);
+    // Nothing here reads the kernel log, which otherwise keeps a record of
+    // every kernel the device ever ran.
+    if (options_.use_gpu_engine) topology_->device(index).clear_log();
     maybe_quarantine(index, response.result);
     for (PendingRequest& follower : followers) {
       coalesced_.fetch_add(1, std::memory_order_relaxed);
@@ -226,8 +233,11 @@ SolveResponse SolveServer::serve_one(PendingRequest& leader,
   response.request_id = leader.id;
   response.worker = index;
 
+  // The coalescing key was computed from the request as submitted, so the
+  // thread budget filled in here does not change which requests coalesce.
   ResilientOptions options = leader.request.options;
   options.probe_cache = cache_.get();
+  if (options.num_threads == 0) options.num_threads = dp_threads_;
   try {
     response.result = solve_resilient(leader.request.instance, chain, options);
     response.status = response.result.status;

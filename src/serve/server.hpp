@@ -124,6 +124,12 @@ class SolveServer {
     return cache_.get();
   }
 
+  /// The topology whose device `i` worker `i` owns; null when
+  /// use_gpu_engine is off. Read it only on a quiesced server.
+  [[nodiscard]] const gpusim::Topology* topology() const noexcept {
+    return topology_.get();
+  }
+
  private:
   void worker_main(int index);
   [[nodiscard]] SolveResponse serve_one(PendingRequest& leader,
@@ -134,6 +140,10 @@ class SolveServer {
   void maybe_quarantine(int index, const ResilientResult& result);
 
   ServeOptions options_;
+  /// DP threads of a request that leaves num_threads at 0: the OpenMP
+  /// default split across the workers, so concurrent solves share the
+  /// cores instead of each taking all of them.
+  int dp_threads_;
   std::unique_ptr<ShardedProbeCache> cache_;  // null when sharing is off
   /// One device per worker, drawn from a shared fullmesh topology so the
   /// daemon's memory accounting models one multi-GPU node rather than N

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "obs/session.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -91,6 +92,27 @@ TEST(Knapsack, BlockedMatchesReferenceAllPartitionDims) {
   for (std::size_t dims = 0; dims <= 3; ++dims) {
     const auto blocked = solve_blocked(p, dims);
     EXPECT_EQ(blocked.table, ref.table) << "dims " << dims;
+  }
+}
+
+// Block-levels of this table hold up to 44 blocks of 256 cells, enough
+// block-items x item-tests to clear the DP threading policy's work floor,
+// so multi-threaded solves really fan blocks out across a team.
+TEST(Knapsack, BlockedAgreesAtExplicitThreadCountsOnWideTable) {
+  KnapsackProblem p;
+  p.budgets = {15, 15, 15, 15};
+  p.items = {{9, {3, 1, 2, 0}}, {7, {2, 2, 1, 1}}, {4, {1, 0, 2, 1}},
+             {3, {0, 1, 1, 2}}, {5, {1, 2, 0, 1}}, {6, {2, 0, 1, 2}}};
+  const auto ref = solve_reference(p);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    obs::ObsSession session;
+    EXPECT_EQ(solve_blocked(p, 4, threads).table, ref.table);
+    const auto parallel = session.metrics().counter("dp.levels.parallel");
+    if (threads == 1)
+      EXPECT_EQ(parallel, 0u);
+    else
+      EXPECT_GT(parallel, 0u);
   }
 }
 

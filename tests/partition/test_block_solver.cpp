@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "obs/session.hpp"
 #include "util/rng.hpp"
 
 namespace pcmax::partition {
@@ -30,6 +31,28 @@ TEST(BlockedSolver, DepsMatchReference) {
   const auto ref = dp::ReferenceSolver().solve(p, opt);
   const auto blocked = BlockedSolver(3).solve(p, opt);
   EXPECT_EQ(blocked.deps, ref.deps);
+}
+
+// Wide enough that block-levels clear the DP threading policy's work floor,
+// so multi-threaded solves really fan blocks out across a team.
+TEST(BlockedSolver, AgreesAtExplicitThreadCountsOnWideTable) {
+  const dp::DpProblem p{{8, 8, 8, 8}, {2, 3, 5, 7}, 20};
+  const auto ref = dp::ReferenceSolver().solve(p);
+  for (const std::size_t dims : {2, 4}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "dims " << dims << " threads "
+                                      << threads);
+      obs::ObsSession session;
+      dp::SolveOptions opt;
+      opt.num_threads = threads;
+      EXPECT_EQ(BlockedSolver(dims).solve(p, opt).table, ref.table);
+      const auto parallel = session.metrics().counter("dp.levels.parallel");
+      if (threads == 1)
+        EXPECT_EQ(parallel, 0u);
+      else
+        EXPECT_GT(parallel, 0u);
+    }
+  }
 }
 
 TEST(BlockedSolver, NameEncodesPartitionDims) {

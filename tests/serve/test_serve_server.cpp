@@ -12,6 +12,7 @@
 #include "faultsim/injector.hpp"
 #include "gpu/resilient_gpu.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/topology.hpp"
 #include "obs/session.hpp"
 #include "workload/generators.hpp"
 
@@ -81,6 +82,37 @@ TEST(ServeServer, ServedResultMatchesDirectResilientSolve) {
   EXPECT_EQ(response.result.k, direct.k);
   EXPECT_EQ(response.result.bound_num, direct.bound_num);
   EXPECT_EQ(response.result.bound_den, direct.bound_den);
+}
+
+TEST(ServeServer, WorkerDevicesKeepNoKernelLogBetweenRequests) {
+  ServeOptions options;
+  options.workers = 2;
+  options.coalesce = false;
+  options.share_probe_cache = false;  // every request launches kernels
+  SolveServer server(options);
+  const gpusim::Topology* topology = server.topology();
+  ASSERT_NE(topology, nullptr);
+
+  constexpr int kBatches = 10;
+  constexpr int kBatchSize = 30;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    std::vector<std::future<SolveResponse>> futures;
+    for (int i = 0; i < kBatchSize; ++i) {
+      auto admitted = server.submit(
+          make_request(static_cast<std::uint64_t>(batch * kBatchSize + i)));
+      ASSERT_TRUE(admitted.has_value());
+      futures.push_back(std::move(*admitted));
+    }
+    for (auto& future : futures) ASSERT_TRUE(future.get().ok());
+    // Every admitted request is answered, so the workers are idle.
+    for (int w = 0; w < options.workers; ++w)
+      EXPECT_TRUE(topology->device(w).log().empty())
+          << "worker " << w << " after batch " << batch;
+  }
+  std::uint64_t kernels = 0;
+  for (int w = 0; w < options.workers; ++w)
+    kernels += topology->device(w).stats().kernels;
+  EXPECT_GT(kernels, static_cast<std::uint64_t>(kBatches * kBatchSize));
 }
 
 TEST(ServeServer, AdmissionControlRejectsOverflowWithTypedStatus) {
