@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 #include "bench_common.hpp"
 #include "core/probe_cache.hpp"
@@ -27,6 +28,7 @@
 #include "partition/block_solver.hpp"
 #include "partition/blocked_layout.hpp"
 #include "partition/divisor.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 #include "workload/shapes.hpp"
 
@@ -67,6 +69,39 @@ void BM_ConfigEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_ConfigEnumeration);
 
+// The fits scan alone on a cpu-large-like configuration set: classic
+// rounding at k = 8 (capacity 64), ten classes of four jobs, 92
+// configurations. Each iteration visits every fitting configuration (no
+// early stop) under 4096 seeded random cells of the table.
+void BM_FitSetScan(benchmark::State& state) {
+  const std::vector<std::int64_t> counts(10, 4);
+  const std::vector<std::int64_t> weights{12, 15, 18, 22, 26,
+                                          31, 37, 44, 52, 61};
+  const dp::MixedRadix radix(std::vector<std::int64_t>(counts.size(), 5));
+  const dp::ConfigSet configs(counts, weights, 64, radix);
+  util::Rng rng(42);
+  std::vector<std::vector<std::int64_t>> cells(4096);
+  std::vector<std::int64_t> levels;
+  for (auto& v : cells) {
+    v = radix.unflatten(static_cast<std::uint64_t>(
+        rng.uniform(0, static_cast<std::int64_t>(radix.size()) - 1)));
+    levels.push_back(std::accumulate(v.begin(), v.end(), std::int64_t{0}));
+  }
+  std::uint64_t fits = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      configs.for_each_fitting(cells[i], levels[i], [&](std::size_t) {
+        ++fits;
+        return true;
+      });
+    benchmark::DoNotOptimize(fits);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells.size()));
+  state.SetLabel("configs=" + std::to_string(configs.size()));
+}
+BENCHMARK(BM_FitSetScan);
+
 void BM_DpSolve(benchmark::State& state) {
   const auto& shapes = workload::fig3_group('a');
   const auto& shape = shapes[static_cast<std::size_t>(state.range(0))];
@@ -78,6 +113,21 @@ void BM_DpSolve(benchmark::State& state) {
   state.SetLabel("sigma=" + std::to_string(shape.table_size));
 }
 BENCHMARK(BM_DpSolve)->Arg(0)->Arg(4)->Arg(6);
+
+// The DP fill on one thread: the kernel's speed without OpenMP teams.
+void BM_DpSolveOneThread(benchmark::State& state) {
+  const auto& shape =
+      workload::fig3_group('a')[static_cast<std::size_t>(state.range(0))];
+  const auto problem = workload::dp_problem_for_extents(shape.extents);
+  const dp::LevelBucketSolver solver;
+  dp::SolveOptions options;
+  options.num_threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.solve(problem, options).opt);
+  }
+  state.SetLabel("sigma=" + std::to_string(shape.table_size));
+}
+BENCHMARK(BM_DpSolveOneThread)->Arg(6);
 
 void BM_BlockedSolve(benchmark::State& state) {
   const auto problem =

@@ -1,12 +1,24 @@
 #include "dp/fitset.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
 
 namespace pcmax::dp {
+
+namespace {
+
+/// Largest coordinate uint16_t columns hold: one below their sentinel.
+constexpr std::int64_t kNarrowMax = 0xFFFE;
+
+/// Largest level drop the per-level skip table is built for.
+constexpr std::int64_t kDenseMaxDrop = 1 << 16;
+
+}  // namespace
 
 FitSet::FitSet(std::span<const std::int64_t> rows, std::size_t dims)
     : dims_(dims) {
@@ -37,27 +49,42 @@ FitSet::FitSet(std::span<const std::int64_t> rows, std::size_t dims)
                      return drops[a] > drops[b];
                    });
 
-  // Transpose into dimension-major columns in sorted order.
-  soa_.resize(size_ * dims_);
   max_coord_.assign(dims_, 0);
-  for (std::size_t pos = 0; pos < size_; ++pos) {
-    const std::size_t row = orig_[pos];
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const std::int64_t x = rows[row * dims_ + j];
-      soa_[j * size_ + pos] = x;
-      max_coord_[j] = std::max(max_coord_[j], x);
-    }
-  }
+  for (std::size_t i = 0; i < size_; ++i)
+    for (std::size_t j = 0; j < dims_; ++j)
+      max_coord_[j] = std::max(max_coord_[j], rows[i * dims_ + j]);
+
+  // Transpose into dimension-major columns in sorted order, each padded to
+  // a whole number of blocks with a sentinel no tested cap reaches.
+  stride_ = (size_ + kBlock - 1) / kBlock * kBlock;
+  const std::int64_t widest =
+      *std::max_element(max_coord_.begin(), max_coord_.end());
+  const auto transpose = [&](auto& soa) {
+    using Col = typename std::remove_reference_t<decltype(soa)>::value_type;
+    soa.assign(stride_ * dims_, std::numeric_limits<Col>::max());
+    for (std::size_t pos = 0; pos < size_; ++pos)
+      for (std::size_t j = 0; j < dims_; ++j)
+        soa[j * stride_ + pos] =
+            static_cast<Col>(rows[orig_[pos] * dims_ + j]);
+  };
+  if (widest <= kNarrowMax)
+    transpose(narrow_);
+  else
+    transpose(wide_);
 
   // begin_at_drop_[l]: first sorted position whose drop is <= l — i.e. the
   // number of rows with drop > l, since positions are sorted descending.
-  std::vector<std::size_t> rows_with_drop(
-      static_cast<std::size_t>(max_drop_) + 1, 0);
-  for (std::size_t i = 0; i < size_; ++i)
-    ++rows_with_drop[static_cast<std::size_t>(drops[i])];
-  begin_at_drop_.assign(static_cast<std::size_t>(max_drop_) + 1, 0);
-  for (std::size_t l = static_cast<std::size_t>(max_drop_); l-- > 0;)
-    begin_at_drop_[l] = begin_at_drop_[l + 1] + rows_with_drop[l + 1];
+  // Drops too large for a table (heavy knapsack items) are binary-searched.
+  drop_at_.resize(size_);
+  for (std::size_t pos = 0; pos < size_; ++pos) drop_at_[pos] = drops[orig_[pos]];
+  if (max_drop_ <= kDenseMaxDrop) {
+    begin_at_drop_.resize(static_cast<std::size_t>(max_drop_) + 1);
+    std::size_t pos = size_;
+    for (std::int64_t l = 0; l <= max_drop_; ++l) {
+      while (pos > 0 && drop_at_[pos - 1] <= l) --pos;
+      begin_at_drop_[static_cast<std::size_t>(l)] = pos;
+    }
+  }
 }
 
 }  // namespace pcmax::dp

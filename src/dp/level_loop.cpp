@@ -18,7 +18,12 @@ bool level_runs_inline(std::uint64_t count, std::uint64_t chunk,
   // the team wakes only to wait at the barrier.
   const bool run_inline =
       threads <= 1 || count <= chunk || work < kParallelWorkFloor;
-  obs::count(run_inline ? "dp.levels.inline" : "dp.levels.parallel");
+  if (run_inline) {
+    obs::count("dp.levels.inline");
+  } else {
+    obs::count("dp.levels.parallel");
+    obs::observe("dp.levels.team_threads", threads);
+  }
   return run_inline;
 }
 

@@ -1,8 +1,8 @@
 // One threading policy for the level-synchronous DP loops. Every solver
 // that shares a level's independent items (cells of an anti-diagonal level,
 // blocks of a block-level) across OpenMP threads goes through
-// for_each_in_level, so the decision "is this level worth a team?" is made
-// in one place. Opening a team costs a wake-up and a barrier on every
+// for_each_in_level or its chunked form for_each_chunk_in_level, so the
+// decision "is this level worth a team?" is made in one place. Opening a team costs a wake-up and a barrier on every
 // thread; a level of at most one scheduling chunk, or whose estimated work
 // is below kParallelWorkFloor, runs on the calling thread instead. Which
 // thread computes an item never changes its value, so tables are
@@ -33,25 +33,40 @@ inline constexpr std::uint64_t kParallelWorkFloor = 4096;
 /// The policy itself: true when a level of `count` items, scheduled in
 /// chunks of `chunk` items, with estimated `work`, runs on the calling
 /// thread rather than a team of `threads`. Bumps the dp.levels.inline or
-/// dp.levels.parallel counter once per call.
+/// dp.levels.parallel counter once per call; a level that opens a team
+/// also records `threads` in the dp.levels.team_threads histogram.
 [[nodiscard]] bool level_runs_inline(std::uint64_t count, std::uint64_t chunk,
                                      std::uint64_t work, int threads);
 
-/// Calls fn(i) for every i in [0, count): on the calling thread when
+/// Splits [0, count) into chunks of `chunk` items and calls fn(first, last)
+/// once per chunk: on the calling thread as one call fn(0, count) when
 /// level_runs_inline says so, otherwise on a team of `threads` OpenMP
-/// threads with dynamic scheduling in chunks of `chunk`. The calls of one
-/// level must be independent of each other.
+/// threads that take chunks dynamically. The items of one level must be
+/// independent of each other.
+template <typename Fn>
+void for_each_chunk_in_level(std::uint64_t count, std::uint64_t chunk,
+                             std::uint64_t work, int threads, Fn&& fn) {
+  if (level_runs_inline(count, chunk, work, threads)) {
+    if (count > 0) fn(std::uint64_t{0}, count);
+    return;
+  }
+  const auto chunks = static_cast<std::int64_t>((count + chunk - 1) / chunk);
+#pragma omp parallel for num_threads(threads) schedule(dynamic, 1)
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    const std::uint64_t first = static_cast<std::uint64_t>(c) * chunk;
+    fn(first, first + chunk < count ? first + chunk : count);
+  }
+}
+
+/// Calls fn(i) for every i in [0, count), chunked and scheduled as
+/// for_each_chunk_in_level.
 template <typename Fn>
 void for_each_in_level(std::uint64_t count, std::uint64_t chunk,
                        std::uint64_t work, int threads, Fn&& fn) {
-  if (level_runs_inline(count, chunk, work, threads)) {
-    for (std::uint64_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  const auto n = static_cast<std::int64_t>(count);
-  const auto chunk_size = static_cast<int>(chunk);
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk_size)
-  for (std::int64_t i = 0; i < n; ++i) fn(static_cast<std::uint64_t>(i));
+  for_each_chunk_in_level(count, chunk, work, threads,
+                          [&](std::uint64_t first, std::uint64_t last) {
+                            for (std::uint64_t i = first; i < last; ++i) fn(i);
+                          });
 }
 
 }  // namespace pcmax::dp

@@ -1,5 +1,7 @@
 #include "dp/mixed_radix.hpp"
 
+#include <algorithm>
+
 #include "util/checked_math.hpp"
 #include "util/contracts.hpp"
 
@@ -36,6 +38,25 @@ void MixedRadix::unflatten(std::uint64_t index,
   for (std::size_t i = 0; i < extents_.size(); ++i) {
     out[i] = static_cast<std::int64_t>(index / strides_[i]);
     index %= strides_[i];
+  }
+}
+
+void MixedRadix::next_in_level(std::span<std::int64_t> v) const {
+  // The rightmost coordinate that can grow while a later one gives up a
+  // unit; everything after it is already the largest arrangement of its sum.
+  std::size_t i = v.size() - 1;
+  std::int64_t suffix = v[i];
+  while (i-- > 0) {
+    if (suffix > 0 && v[i] + 1 < extents_[i]) break;
+    suffix += v[i];
+  }
+  PCMAX_EXPECTS(i < v.size());  // v was not the level's last cell
+  ++v[i];
+  // The rest of the sum in the smallest arrangement: pushed to the end.
+  std::int64_t rest = suffix - 1;
+  for (std::size_t j = v.size(); j-- > i + 1;) {
+    v[j] = std::min(rest, extents_[j] - 1);
+    rest -= v[j];
   }
 }
 

@@ -35,6 +35,11 @@ class MixedRadix {
   /// Inverse of flatten; writes dims() coordinates into `out`.
   void unflatten(std::uint64_t index, std::span<std::int64_t> out) const;
 
+  /// Advances `v` to the next cell of the same level in row-major order
+  /// (the next cell of LevelBuckets::cells_at) without dividing. `v` must
+  /// not be the last cell of its level.
+  void next_in_level(std::span<std::int64_t> v) const;
+
   /// Convenience overload allocating the coordinate vector.
   [[nodiscard]] std::vector<std::int64_t> unflatten(std::uint64_t index) const;
 

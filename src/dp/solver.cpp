@@ -120,17 +120,23 @@ DpResult LevelBucketSolver::solve(const DpProblem& problem,
 
   for (std::int64_t level = 1; level < buckets.levels(); ++level) {
     const auto cells = buckets.cells_at(level);
-    for_each_in_level(
+    // Cells of a level ascend in row-major order, so each chunk divides
+    // once for its first cell's coordinates and walks to the rest.
+    for_each_chunk_in_level(
         cells.size(), 64, cells.size() * configs, threads,
-        [&](std::uint64_t i) {
-          const std::uint64_t id = cells[i];
+        [&](std::uint64_t first, std::uint64_t last) {
           std::int64_t coords[64];
           std::span<std::int64_t> v(coords, ctx.radix.dims());
-          ctx.radix.unflatten(id, v);
-          std::uint32_t* deps =
-              options.collect_deps ? &ctx.result.deps[id] : nullptr;
-          ctx.result.table[id] =
-              solve_cell(ctx.configs, v, level, id, ctx.result.table, deps);
+          ctx.radix.unflatten(cells[first], v);
+          for (std::uint64_t i = first;;) {
+            const std::uint64_t id = cells[i];
+            std::uint32_t* deps =
+                options.collect_deps ? &ctx.result.deps[id] : nullptr;
+            ctx.result.table[id] = solve_cell(ctx.configs, v, level, id,
+                                              ctx.result.table, deps);
+            if (++i == last) break;
+            ctx.radix.next_in_level(v);
+          }
         });
   }
   ctx.finish();

@@ -80,5 +80,25 @@ TEST(LevelBuckets, RejectsOutOfRangeLevel) {
   EXPECT_THROW((void)b.cells_at(b.levels()), util::contract_violation);
 }
 
+TEST(LevelBuckets, NextInLevelWalksEachBucketInOrder) {
+  // Extents of 1 (a class with no jobs) and a 1-D table included: the walk
+  // must step over fixed coordinates and reproduce every bucket exactly.
+  for (const auto& extents : std::vector<std::vector<std::int64_t>>{
+           {5}, {4, 3, 5}, {3, 1, 4, 2}, {2, 2, 2, 2, 2, 2}, {1, 6, 1}}) {
+    const MixedRadix r(extents);
+    const LevelBuckets b(r);
+    for (std::int64_t l = 0; l < b.levels(); ++l) {
+      const auto cells = b.cells_at(l);
+      std::vector<std::int64_t> v = r.unflatten(cells[0]);
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        r.next_in_level(v);
+        EXPECT_EQ(r.flatten(v), cells[i]) << "level " << l << " cell " << i;
+      }
+      EXPECT_THROW(r.next_in_level(v), util::contract_violation)
+          << "level " << l << " has no cell after its last";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pcmax::dp

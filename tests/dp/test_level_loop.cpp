@@ -64,6 +64,22 @@ TEST(LevelLoop, CountsEveryLevelOnce) {
   EXPECT_EQ(session.metrics().counter("dp.levels.parallel"), 1u);
 }
 
+TEST(LevelLoop, RecordsTeamSizeOfLevelsThatOpenTeams) {
+  obs::ObsSession session;
+  (void)ran_in_team(1000, 64, kParallelWorkFloor, 4);
+  (void)ran_in_team(10, 1, kParallelWorkFloor, 2);
+  (void)ran_in_team(10, 1, kParallelWorkFloor - 1, 4);  // inline: no sample
+  std::uint64_t samples = 0;
+  std::int64_t sum = 0;
+  for (const auto& h : session.metrics().histograms()) {
+    if (h.name != "dp.levels.team_threads") continue;
+    samples = h.total;
+    sum = h.sum;
+  }
+  EXPECT_EQ(samples, 2u);
+  EXPECT_EQ(sum, 4 + 2);
+}
+
 /// A table wide enough that its middle levels exceed both the chunk and the
 /// work floor, so multi-threaded solves really open teams.
 DpProblem wide_problem() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "obs/session.hpp"
 #include "util/contracts.hpp"
@@ -49,9 +50,29 @@ KnapsackProblem small_problem() {
   return p;
 }
 
+/// An item heavier than 65 534 in one dimension, which puts the FitSet on
+/// its wide (int64_t) columns, with the budget just below the item's weight
+/// (8: it never fits) or just above it (9: taking it wins).
+KnapsackProblem heavy_item_problem(std::int64_t budget) {
+  KnapsackProblem p;
+  p.budgets = {budget, 2};
+  p.items = {{9, {65535, 1}}, {4, {30000, 0}}, {3, {20000, 1}}};
+  return p;
+}
+
+/// The inputs every agreement test runs on.
+std::vector<KnapsackProblem> agreement_problems() {
+  return {small_problem(), heavy_item_problem(65534),
+          heavy_item_problem(65536)};
+}
+
 TEST(Knapsack, ReferenceMatchesBruteForce) {
-  const auto p = small_problem();
-  EXPECT_EQ(solve_reference(p).best, brute_force(p));
+  for (const auto& p : agreement_problems()) {
+    SCOPED_TRACE(p.budgets[0]);
+    EXPECT_EQ(solve_reference(p).best, brute_force(p));
+  }
+  EXPECT_EQ(solve_reference(heavy_item_problem(65534)).best, 8);
+  EXPECT_EQ(solve_reference(heavy_item_problem(65536)).best, 9);
 }
 
 TEST(Knapsack, ZeroBudgetGivesZero) {
@@ -87,11 +108,13 @@ TEST(Knapsack, TableIsMonotoneInBudgets) {
 }
 
 TEST(Knapsack, BlockedMatchesReferenceAllPartitionDims) {
-  const auto p = small_problem();
-  const auto ref = solve_reference(p);
-  for (std::size_t dims = 0; dims <= 3; ++dims) {
-    const auto blocked = solve_blocked(p, dims);
-    EXPECT_EQ(blocked.table, ref.table) << "dims " << dims;
+  for (const auto& p : agreement_problems()) {
+    SCOPED_TRACE(p.budgets[0]);
+    const auto ref = solve_reference(p);
+    for (std::size_t dims = 0; dims <= 3; ++dims) {
+      const auto blocked = solve_blocked(p, dims);
+      EXPECT_EQ(blocked.table, ref.table) << "dims " << dims;
+    }
   }
 }
 
